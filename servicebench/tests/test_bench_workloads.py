@@ -30,6 +30,17 @@ def test_schedule_follows_rate_and_mix(name):
         assert count == pytest.approx(share * len(requests), abs=3)
 
 
+def test_paced_arrivals_are_evenly_spaced_and_the_seed_draws_the_requests():
+    w = WORKLOADS["tenant-churn"]
+    assert w.arrivals == "paced"
+    first = schedule(w, 1, "main", w.rate, 5.0)
+    other = schedule(w, 2, "main", w.rate, 5.0)
+    gaps = {round(b.due - a.due, 9) for a, b in zip(first, first[1:])}
+    assert gaps == {round(1.0 / w.rate, 9)}
+    assert [r.due for r in first] == [r.due for r in other]
+    assert [(r.op, r.tenant) for r in first] != [(r.op, r.tenant) for r in other]
+
+
 def test_per_layer_metric_list_fits_the_contract():
     assert len(layers.PER_LAYER) <= 128
     assert all(len(name) <= 64 for name in layers.PER_LAYER)

@@ -65,6 +65,12 @@ class Workload:
     latency_limit_ms: float
     #: Offered rates of the capacity ladder, ascending, requests per second.
     ladder: tuple[float, ...]
+    #: ``"poisson"``: a Poisson process; ``"paced"``: evenly spaced arrivals.
+    arrivals: str = "poisson"
+    #: Set-ups (and recoveries) per run; ``setup_s`` and the recovery time
+    #: are their medians.  A one-tenant set-up is mostly interpreter start-up,
+    #: whose time varies by up to a third from one launch to the next.
+    repeats: int = 5
 
     @property
     def attributes(self) -> list[str]:
@@ -104,6 +110,7 @@ WORKLOADS: dict[str, Workload] = {
             append_batch=4,
             latency_limit_ms=150.0,
             ladder=(700.0, 1400.0),
+            repeats=9,
         ),
         Workload(
             name="stream-ingest",
@@ -128,6 +135,7 @@ WORKLOADS: dict[str, Workload] = {
             append_batch=4,
             latency_limit_ms=800.0,
             ladder=(30.0,),
+            arrivals="paced",
         ),
     )
 }
@@ -200,16 +208,20 @@ def _payload(w: Workload, op: str, rng: random.Random) -> dict:
 def schedule(
     w: Workload, seed: int, phase: str, rate: float, seconds: float
 ) -> list[Request]:
-    """Open-loop arrivals of one phase: a Poisson process of ``rate``.
+    """Open-loop arrivals of one phase at ``rate``.
 
-    The count is fixed at ``round(rate * seconds)`` and the arrival times
-    are sorted uniform draws — a Poisson process conditioned on its count,
-    so the offered rate of every phase is exact.  Operations follow the
-    mix in exact proportion, in seeded random order.
+    The count is fixed at ``round(rate * seconds)``, so the offered rate of
+    every phase is exact.  Poisson arrival times are sorted uniform draws
+    (a Poisson process conditioned on its count); paced ones are evenly
+    spaced, and the seed then draws only what each request asks.
+    Operations follow the mix in exact proportion, in seeded random order.
     """
     rng = rng_for(seed, f"schedule:{phase}")
     count = max(1, round(rate * seconds))
-    times = sorted(rng.uniform(0.0, seconds) for _ in range(count))
+    if w.arrivals == "paced":
+        times = [(i + 0.5) * seconds / count for i in range(count)]
+    else:
+        times = sorted(rng.uniform(0.0, seconds) for _ in range(count))
     ops: list[str] = []
     for op, share in w.mix.items():
         ops.extend([op] * round(share * count))
