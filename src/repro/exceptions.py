@@ -164,6 +164,17 @@ class TenantOverloadedError(ServeError):
     """
 
 
+class TenantUnavailableError(ServeError):
+    """Appended rows are logged durably but no published snapshot holds them.
+
+    Raised to every append waiting on a snapshot publish that failed: the
+    rows are in the tenant's write-ahead log, so a re-open recovers them,
+    but reads cannot see them yet.  The tenant's writer keeps running and
+    its next applied batch publishes again.  Transports map it to the
+    ``tenant_unavailable`` envelope code with HTTP 503.
+    """
+
+
 class LoadgenError(ReproError):
     """The load-generation harness was misconfigured or hit a fatal fault.
 

@@ -18,8 +18,9 @@ persisted under ``DIR`` (write-ahead log + delta checkpoints), and the
 ``compact`` subcommand folds an existing durability directory's log and
 delta chain into a fresh base snapshot.
 
-Observability: ``--metrics-out FILE`` runs the experiment with the
-:mod:`repro.obs` registry enabled and writes the final snapshot as JSON;
+Observability: ``--metrics-out FILE`` runs any experiment or subcommand
+with the :mod:`repro.obs` registry enabled and writes the final snapshot
+as JSON;
 ``--trace-out FILE`` additionally records trace spans and writes a Chrome
 ``trace_event`` document (open in ``chrome://tracing`` / Perfetto).  The
 ``stats`` subcommand pretty-prints a registry snapshot — either a
@@ -160,18 +161,21 @@ def _run_stats(workload, metrics_in: str | None) -> str:
     """Pretty-print a metrics-registry snapshot.
 
     With ``metrics_in``, formats a snapshot JSON previously written by
-    ``--metrics-out``.  Otherwise enables a fresh registry, runs the
-    streaming replay on ``workload``, and formats what it collected.
+    ``--metrics-out``.  Otherwise runs the streaming replay on
+    ``workload`` into the active registry (the ``--metrics-out`` one, or
+    a fresh registry of its own) and formats what it collected.
     """
     if metrics_in:
         snapshot = json.loads(Path(metrics_in).read_text())
         return obs.format_snapshot(snapshot)
-    registry = obs.enable()
+    owned = not obs.active_registry().enabled
+    registry = obs.enable() if owned else obs.active_registry()
     try:
         run_streaming_replay(workload.panel)
         return obs.format_snapshot(registry.snapshot())
     finally:
-        obs.disable()
+        if owned:
+            obs.disable()
 
 
 def _run_compact(directory: str) -> str:
@@ -245,13 +249,15 @@ def _run_serve(args) -> int:
     """Host a multi-tenant HTTP query service over ``--durable-root``.
 
     Each subdirectory of the root is one tenant's durability directory;
-    metrics are always enabled so ``/metrics`` exposes live counters.
-    Blocks until interrupted; shutdown checkpoints every resident tenant.
+    metrics are always enabled (into the ``--metrics-out`` registry, if
+    any) so ``/metrics`` exposes live counters.  Blocks until interrupted;
+    shutdown checkpoints every resident tenant.
     """
     from repro.serve import TenantManager
     from repro.serve.http import run
 
-    obs.enable()
+    if not obs.active_registry().enabled:
+        obs.enable()
     manager = TenantManager(
         args.durable_root,
         max_tenants=args.max_tenants,
@@ -659,17 +665,40 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="for 'stats': pretty-print this previously written snapshot JSON",
     )
     args = parser.parse_args(argv)
-
-    if args.experiment == SERVE_COMMAND:
-        if not args.durable_root:
-            parser.error("'serve' requires --durable-root DIR")
-        return _run_serve(args)
-
+    if args.experiment == SERVE_COMMAND and not args.durable_root:
+        parser.error("'serve' requires --durable-root DIR")
     if args.experiment == LOADGEN_COMMAND:
         if bool(args.target) == bool(args.self_serve):
             parser.error(
                 "'loadgen' requires exactly one of --target URL or --self-serve"
             )
+    if args.experiment in (COMPACT_COMMAND, FOLLOW_COMMAND) and not args.durable:
+        parser.error(f"'{args.experiment}' requires --durable DIR")
+
+    registry = None
+    if args.metrics_out or args.trace_out:
+        registry = obs.enable(tracing=args.trace_out is not None)
+    try:
+        return _run_command(args)
+    finally:
+        if registry is not None:
+            if args.metrics_out:
+                Path(args.metrics_out).write_text(
+                    json.dumps(registry.snapshot(), indent=2, sort_keys=True) + "\n"
+                )
+            if args.trace_out:
+                Path(args.trace_out).write_text(
+                    json.dumps(obs.to_chrome_trace(obs.active_tracer())) + "\n"
+                )
+            obs.disable()
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the parsed experiment(s) or subcommand; returns the exit code."""
+    if args.experiment == SERVE_COMMAND:
+        return _run_serve(args)
+
+    if args.experiment == LOADGEN_COMMAND:
         try:
             return _run_loadgen(args)
         except LoadgenError as error:
@@ -677,14 +706,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
 
     if args.experiment == COMPACT_COMMAND:
-        if not args.durable:
-            parser.error("'compact' requires --durable DIR")
         print(f"== {COMPACT_COMMAND} ==\n{_run_compact(args.durable)}\n")
         return 0
 
     if args.experiment == FOLLOW_COMMAND:
-        if not args.durable:
-            parser.error("'follow' requires --durable DIR")
         rendered = _run_follow(
             args.durable,
             follower_id=args.follower_id,
@@ -706,36 +731,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"== {STATS_COMMAND} ==\n{_run_stats(workload, None)}\n")
         return 0
 
-    registry = None
-    if args.metrics_out or args.trace_out:
-        registry = obs.enable(tracing=args.trace_out is not None)
-    try:
-        names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-        sections = []
-        for name in names:
-            rendered = _run_one(
-                name,
-                workload,
-                backend=args.backend,
-                durable=args.durable,
-                sync_mode=args.durable_sync,
-                fsync_interval_ms=args.fsync_interval_ms,
-            )
-            sections.append(f"== {name} ==\n{rendered}\n")
-            print(sections[-1])
-        if args.output:
-            Path(args.output).write_text("\n".join(sections))
-    finally:
-        if registry is not None:
-            if args.metrics_out:
-                Path(args.metrics_out).write_text(
-                    json.dumps(registry.snapshot(), indent=2, sort_keys=True) + "\n"
-                )
-            if args.trace_out:
-                Path(args.trace_out).write_text(
-                    json.dumps(obs.to_chrome_trace(obs.active_tracer())) + "\n"
-                )
-            obs.disable()
+    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    sections = []
+    for name in names:
+        rendered = _run_one(
+            name,
+            workload,
+            backend=args.backend,
+            durable=args.durable,
+            sync_mode=args.durable_sync,
+            fsync_interval_ms=args.fsync_interval_ms,
+        )
+        sections.append(f"== {name} ==\n{rendered}\n")
+        print(sections[-1])
+    if args.output:
+        Path(args.output).write_text("\n".join(sections))
     return 0
 
 

@@ -33,6 +33,7 @@ from repro.exceptions import (
     TenantExistsError,
     TenantNotFoundError,
     TenantOverloadedError,
+    TenantUnavailableError,
 )
 from repro.serve.service import EngineSnapshot, ManagerStats, TenantStats
 
@@ -452,6 +453,7 @@ _ERROR_CODES: tuple[tuple[type, str, int], ...] = (
     (TenantNotFoundError, "tenant_not_found", 404),
     (TenantExistsError, "tenant_exists", 409),
     (TenantOverloadedError, "overloaded", 503),
+    (TenantUnavailableError, "tenant_unavailable", 503),
     (ServeError, "serve_error", 400),
     (SnapshotVersionError, "snapshot_version", 409),
     (ConfigurationError, "bad_request", 400),

@@ -7,6 +7,8 @@ guarantees.  The design is a classic single-writer/many-readers split:
 * **One writer thread per tenant** owns the tenant's live
   :class:`~repro.storage.DurableEngine`.  Appends are enqueued; the writer
   drains the queue, logs + ingests each batch, and then *publishes*.
+  An append is acknowledged only after the publish that holds its batch,
+  so an acknowledged append is visible to every later read.
 * **Publishing** builds an immutable :class:`EngineSnapshot` — a quiesced
   clone of the live engine (``from_snapshot(to_snapshot())``, the exact
   round-trip the recovery tests pin bit-identical) that *adopts* the
@@ -50,13 +52,16 @@ from repro.exceptions import (
     TenantExistsError,
     TenantNotFoundError,
     TenantOverloadedError,
+    TenantUnavailableError,
 )
 from repro.storage import CompactionPolicy, DurableEngine
 
 __all__ = ["EngineSnapshot", "TenantManager", "TenantStats"]
 
 _OBS_PUBLISH = obs.timer("serve.publish", "snapshot clone + atomic reference swap")
-_OBS_APPEND = obs.timer("serve.append", "append enqueue to durable acknowledgement")
+_OBS_APPEND = obs.timer(
+    "serve.append", "append enqueue to acknowledgement, once durable and published"
+)
 _OBS_QUERY = {
     name: obs.timer(f"serve.query.{name}", f"{name} served from a tenant snapshot")
     for name in ("similarity", "neighbors", "clusters", "dominators", "classify")
@@ -172,10 +177,13 @@ class _Tenant:
         return self._publishes
 
     def append(self, rows: Sequence[Any], timeout: float | None = None) -> int:
-        """Enqueue a batch for the writer; block until it is durable.
+        """Enqueue a batch for the writer; block until it is durable and published.
 
-        Returns the number of rows appended; re-raises the writer's typed
-        error (schema mismatch, unframeable values) on a rejected batch.
+        Returns the number of rows appended once a published snapshot
+        holds them; re-raises the writer's typed error (schema mismatch,
+        unframeable values) on a rejected batch, and
+        :class:`~repro.exceptions.TenantUnavailableError` when the batch
+        is logged but publishing it failed.
         Raises :class:`~repro.exceptions.TenantOverloadedError` — without
         enqueueing anything — when the writer queue already holds
         ``max_queue_depth`` batches, so a saturating client sheds load at
@@ -230,10 +238,17 @@ class _Tenant:
 
     # ------------------------------------------------------------- writer side
     def _writer_loop(self) -> None:
-        since_publish = 0
+        # Applied batches whose callers wait for the publish that holds
+        # their rows; batches drained together share one publish.
+        waiting: list[_AppendOp] = []
         while True:
             op = self._queue.get()
             if isinstance(op, _CloseOp):
+                # Every caller of close() has already taken the tenant out
+                # of the manager's table, so the next read re-opens it from
+                # the durable directory, these rows included.
+                for applied in waiting:
+                    applied.done.set()
                 self._shutdown(op)
                 return
             _OBS_QUEUE_DEPTH.add(-1)
@@ -241,16 +256,35 @@ class _Tenant:
                 op.count = self._durable.append_rows(op.rows)
             except BaseException as error:  # surfaced to the caller, not lost
                 op.error = error
-                op.done.set()
-                continue
-            applied = op.count > 0
-            op.done.set()
-            since_publish += 1 if applied else 0
-            if since_publish and (
-                self._queue.empty() or since_publish >= _PUBLISH_EVERY_BATCHES
+            if op.count:
+                waiting.append(op)
+            else:
+                op.done.set()  # rejected, or no rows to publish
+            if waiting and (
+                self._queue.empty() or len(waiting) >= _PUBLISH_EVERY_BATCHES
             ):
-                self._publish()
-                since_publish = 0
+                self._publish_waiting(waiting)
+                waiting = []
+
+    def _publish_waiting(self, waiting: list[_AppendOp]) -> None:
+        """Publish a snapshot holding ``waiting``'s rows, then acknowledge them.
+
+        A publish that raises fails them at once with
+        :class:`~repro.exceptions.TenantUnavailableError` and leaves the
+        writer running, so the next applied batch publishes again.
+        """
+        try:
+            self._publish()
+        except Exception as error:
+            for op in waiting:
+                op.error = TenantUnavailableError(
+                    f"tenant {self.dataset_id!r}: the appended rows are logged "
+                    "durably but not yet visible to reads; publishing the "
+                    f"snapshot failed ({type(error).__name__}: {error})"
+                )
+                op.error.__cause__ = error
+        for op in waiting:
+            op.done.set()
 
     def _shutdown(self, op: _CloseOp) -> None:
         try:
@@ -492,6 +526,10 @@ class TenantManager:
     ) -> int:
         """Durably append a row batch via the tenant's writer queue.
 
+        Blocks until the batch is durable and published: once this
+        returns, every later read of the tenant sees the rows.
+        Raises :class:`~repro.exceptions.TenantUnavailableError` (mapped
+        to HTTP 503) when the rows were logged but publishing them failed.
         Raises :class:`~repro.exceptions.TenantOverloadedError` (mapped to
         HTTP 503 by the transports) when the tenant's queue is at its
         configured ``max_queue_depth``; nothing is enqueued in that case.

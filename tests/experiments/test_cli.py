@@ -122,6 +122,40 @@ class TestObservabilityFlags:
         assert "histograms:" in captured
         assert "replay.incremental" in captured
 
+    @pytest.fixture()
+    def durable_dir(self, tmp_path):
+        from repro.storage import DurableEngine
+
+        directory = tmp_path / "durable"
+        with DurableEngine.create(directory, attributes=["a", "b", "c"]) as durable:
+            durable.append_rows([[0, 1, 0], [1, 0, 1], [1, 1, 0]])
+        return str(directory)
+
+    def test_metrics_out_on_compact_and_follow(self, durable_dir, tmp_path, capsys):
+        follow_args = ["--follow-polls", "2", "--follow-interval-ms", "1"]
+        snapshots = {}
+        for command, extra in (("compact", []), ("follow", follow_args)):
+            metrics = tmp_path / f"{command}.json"
+            argv = [command, "--durable", durable_dir, *extra]
+            assert main(argv + ["--metrics-out", str(metrics)]) == 0
+            snapshots[command] = json.loads(metrics.read_text())
+        capsys.readouterr()
+        assert snapshots["compact"]["histograms"]["storage.compact"]["count"] == 1
+        assert snapshots["follow"]["counters"]["replica.polls"] >= 2
+
+    def test_trace_out_on_compact(self, durable_dir, tmp_path, capsys):
+        from repro import obs
+
+        trace = tmp_path / "trace.json"
+        argv = ["compact", "--durable", durable_dir, "--trace-out", str(trace)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        document = json.loads(trace.read_text())
+        assert document["displayTimeUnit"] == "ms"
+        names = {event["name"] for event in document["traceEvents"]}
+        assert "storage.compact" in names
+        assert not obs.active_registry().enabled
+
 
 class TestLoadgenCommand:
     """The 'loadgen' subcommand: hermetic self-serve runs and validation."""
@@ -156,6 +190,16 @@ class TestLoadgenCommand:
         assert document["requests"] == 30
         assert document["operations"]
         assert "loadgen_requests_total 30" in prom_path.read_text()
+
+    def test_metrics_out_collects_the_self_served_server(self, tmp_path, capsys):
+        from repro import obs
+
+        metrics = tmp_path / "metrics.json"
+        assert main(self.ARGS + ["--metrics-out", str(metrics)]) == 0
+        capsys.readouterr()
+        snapshot = json.loads(metrics.read_text())
+        assert snapshot["counters"]["serve.http.requests"] >= 30
+        assert not obs.active_registry().enabled
 
     def test_custom_mix_restricts_operations(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -23,6 +23,7 @@ from repro.exceptions import (
     StorageError,
     TenantExistsError,
     TenantNotFoundError,
+    TenantUnavailableError,
 )
 from repro.serve import schemas
 
@@ -102,6 +103,7 @@ def test_dominators_request_defaults():
         (StorageCorruptionError("crc"), "storage_corruption", 500),
         (StorageError("disk"), "storage_error", 503),
         (ObservabilityError("obs"), "engine_error", 500),
+        (TenantUnavailableError("not yet"), "tenant_unavailable", 503),
     ],
 )
 def test_envelope_codes_are_distinct_and_specific(error, code, status):

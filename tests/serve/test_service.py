@@ -12,10 +12,14 @@ The claims under test are exactly the ones the design makes:
 * **Tenant lifecycle** — LRU eviction checkpoints to the durable
   directory and a later touch re-opens O(delta) with *zero* shard
   compiles (the checkpointed sidecars are adopted, not rebuilt).
+* **Read-your-writes** — an append returns only once a published
+  snapshot holds its rows, and a failed publish fails the waiting
+  appends at once instead of leaving them to time out.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -27,8 +31,10 @@ from repro.exceptions import (
     TenantExistsError,
     TenantNotFoundError,
     TenantOverloadedError,
+    TenantUnavailableError,
 )
 from repro.serve import TenantManager
+from repro.serve.service import _Tenant
 
 ATTRIBUTES = ["sector", "trend", "volume"]
 
@@ -219,6 +225,71 @@ def test_published_reader_engines_never_compile_shards(manager):
     counters = engine.counters
     assert counters.shard_compiles == 0
     assert counters.full_compiles == 0
+
+
+# ----------------------------------------------------------- read-your-writes
+def test_acknowledged_appends_are_visible_to_the_next_read(manager):
+    """No sleep, no poll: right after ``append`` returns, the current
+    snapshot holds at least every row this thread has had acknowledged."""
+    seed, writers, batches, batch_rows = 20, 4, 25, 3
+    manager.create_tenant("ryw", ATTRIBUTES)
+    manager.append("ryw", rows(seed))
+    failures: list[str] = []
+
+    def writer(offset: int) -> None:
+        acknowledged = seed
+        for batch in range(batches):
+            start = offset + batch * batch_rows
+            acknowledged += manager.append("ryw", rows(batch_rows, start=start))
+            visible = manager.snapshot("ryw").num_rows
+            if visible < acknowledged:
+                failures.append(f"{visible} rows visible, {acknowledged} acked")
+
+    threads = [
+        threading.Thread(target=writer, args=(1000 * t,), daemon=True)
+        for t in range(writers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the writer and the callers finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    total = seed + writers * batches * batch_rows
+    assert manager.snapshot("ryw").num_rows == total
+
+
+def test_failed_publish_fails_waiting_appends_and_keeps_the_writer(
+    manager, monkeypatch
+):
+    manager.create_tenant("flaky", ATTRIBUTES)
+    manager.append("flaky", rows(10))
+    tenant = manager._resolve("flaky")
+    build = _Tenant._build_snapshot
+    failures = [RuntimeError("clone failed")]
+
+    def fails_once(self):
+        if failures:
+            raise failures.pop()
+        return build(self)
+
+    monkeypatch.setattr(_Tenant, "_build_snapshot", fails_once)
+    started = time.monotonic()
+    with pytest.raises(TenantUnavailableError, match="logged durably") as raised:
+        manager.append("flaky", rows(5, start=10))
+    assert time.monotonic() - started < 5.0
+    assert isinstance(raised.value.__cause__, RuntimeError)
+    assert tenant._thread.is_alive()
+
+    # The next applied batch republishes, holding both batches.
+    assert manager.append("flaky", rows(5, start=15)) == 5
+    assert manager.snapshot("flaky").num_rows == 20
+    assert tenant.queue_depth == 0
 
 
 # ------------------------------------------------------------------ lifecycle
