@@ -39,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import SnapshotVersionError
-from repro.hypergraph.io import atomic_write_bytes
+from repro.hypergraph.io import atomic_write_bytes, load_npz
 
 __all__ = [
     "COUNTS_FORMAT",
@@ -158,43 +158,42 @@ def load_count_states(
     storage layer translate that into a corruption error.
     """
     path = Path(path)
-    source = io.BytesIO(raw) if raw is not None else path
-    with np.load(source, allow_pickle=False) as data:
-        if "format" not in data.files or str(data["format"]) != COUNTS_FORMAT:
-            raise SnapshotVersionError(
-                f"{path} is not a {COUNTS_FORMAT!r} count-state archive"
-            )
-        cardinality = int(data["cardinality"])
-        key_lengths = data["key_lengths"]
-        key_data = data["key_data"]
-        uptos = data["uptos"]
-        counts_data = data["counts_data"].astype(np.int64, copy=False)
-        if len(key_lengths) != len(uptos) or int(key_lengths.sum()) != len(key_data):
-            raise SnapshotVersionError(
-                f"count-state archive {path} has inconsistent key vectors"
-            )
-        sizes = cardinality ** key_lengths.astype(np.int64)
-        if int(sizes.sum()) != len(counts_data):
-            raise SnapshotVersionError(
-                f"count-state archive {path} holds {len(counts_data)} counts "
-                f"but its keys describe {int(sizes.sum())}"
-            )
-        states: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
-        key_offset = 0
-        data_offset = 0
-        for position, length in enumerate(key_lengths.tolist()):
-            key = tuple(key_data[key_offset : key_offset + length].tolist())
-            key_offset += length
-            size = int(sizes[position])
-            counts = counts_data[data_offset : data_offset + size].reshape(
-                (cardinality,) * length
-            )
-            data_offset += size
-            states[key] = (counts, int(uptos[position]))
-        return CountStateArchive(
-            int(data["domain_crc32"]),
-            cardinality,
-            int(data["num_attributes"]),
-            int(data["num_rows"]),
-            states,
+    data = load_npz(io.BytesIO(raw) if raw is not None else path)
+    if "format" not in data or str(data["format"]) != COUNTS_FORMAT:
+        raise SnapshotVersionError(
+            f"{path} is not a {COUNTS_FORMAT!r} count-state archive"
         )
+    cardinality = int(data["cardinality"])
+    key_lengths = data["key_lengths"]
+    key_data = data["key_data"]
+    uptos = data["uptos"]
+    counts_data = data["counts_data"].astype(np.int64, copy=False)
+    if len(key_lengths) != len(uptos) or int(key_lengths.sum()) != len(key_data):
+        raise SnapshotVersionError(
+            f"count-state archive {path} has inconsistent key vectors"
+        )
+    sizes = cardinality ** key_lengths.astype(np.int64)
+    if int(sizes.sum()) != len(counts_data):
+        raise SnapshotVersionError(
+            f"count-state archive {path} holds {len(counts_data)} counts "
+            f"but its keys describe {int(sizes.sum())}"
+        )
+    states: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
+    key_offset = 0
+    data_offset = 0
+    for position, length in enumerate(key_lengths.tolist()):
+        key = tuple(key_data[key_offset : key_offset + length].tolist())
+        key_offset += length
+        size = int(sizes[position])
+        counts = counts_data[data_offset : data_offset + size].reshape(
+            (cardinality,) * length
+        )
+        data_offset += size
+        states[key] = (counts, int(uptos[position]))
+    return CountStateArchive(
+        int(data["domain_crc32"]),
+        cardinality,
+        int(data["num_attributes"]),
+        int(data["num_rows"]),
+        states,
+    )

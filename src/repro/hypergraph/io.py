@@ -24,6 +24,7 @@ import io
 import json
 import os
 import tempfile
+import threading
 import zlib
 from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
@@ -45,6 +46,7 @@ __all__ = [
     "load_index_snapshot",
     "save_shards_npz",
     "load_shards_npz",
+    "load_npz",
     "hypergraph_model_crc32",
     "atomic_write_bytes",
     "atomic_write_text",
@@ -56,6 +58,21 @@ INDEX_SNAPSHOT_FORMAT = "repro.index-snapshot/1"
 
 #: Names of the per-shard arrays persisted in a snapshot, in storage order.
 _SHARD_ARRAYS = ("weights", "tail_ids", "tail_offsets", "head_ids", "head_offsets")
+
+
+#: numpy parses every ``.npy`` header with ``ast.literal_eval``.  CPython
+#: 3.11 keeps the AST constructor's recursion depth per interpreter, not
+#: per thread, so two threads parsing at once can fail with ``SystemError:
+#: AST constructor recursion depth mismatch``.  The serving tier reads
+#: archives on request and writer threads at once, so every archive read
+#: goes through :func:`load_npz`, one at a time.
+_NPZ_LOCK = threading.Lock()
+
+
+def load_npz(source: str | Path | io.BytesIO) -> dict[str, np.ndarray]:
+    """Every array of an ``.npz`` archive, read under a process-wide lock."""
+    with _NPZ_LOCK, np.load(source, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
 
 
 def fsync_directory(path: str | Path) -> None:
@@ -284,56 +301,55 @@ def load_shards_npz(
     ``path`` is then used only for error messages.
     """
     path = Path(path)
-    source = io.BytesIO(raw) if raw is not None else path
-    with np.load(source, allow_pickle=False) as data:
-        if "format" not in data.files or str(data["format"]) != format_name:
-            raise SnapshotVersionError(f"{path} is not a {format_name!r} shard archive")
-        stamp = {
-            name[len("stamp_") :]: int(data[name])
-            for name in data.files
-            if name.startswith("stamp_")
-        }
-        if expected_stamp is not None:
-            expected = {field: int(value) for field, value in expected_stamp.items()}
-            mismatched = sorted(
-                field
-                for field in set(expected) | set(stamp)
-                if expected.get(field) != stamp.get(field)
-            )
-            if mismatched:
-                details = ", ".join(
-                    f"{field}: snapshot={stamp.get(field)!r} expected={expected.get(field)!r}"
-                    for field in mismatched
-                )
-                raise SnapshotVersionError(
-                    f"shard archive {path} does not match its model ({details}); "
-                    "refusing to serve stale arrays — recompile and re-save"
-                )
-        num_vertices = int(data["num_vertices"])
-        heads = data["shard_heads"].tolist()
-        counts = data["shard_edge_counts"]
-        weights, tail_ids, tail_offsets, head_ids, head_offsets = (
-            data[name] for name in _SHARD_ARRAYS
+    data = load_npz(io.BytesIO(raw) if raw is not None else path)
+    if "format" not in data or str(data["format"]) != format_name:
+        raise SnapshotVersionError(f"{path} is not a {format_name!r} shard archive")
+    stamp = {
+        name[len("stamp_") :]: int(data[name])
+        for name in data
+        if name.startswith("stamp_")
+    }
+    if expected_stamp is not None:
+        expected = {field: int(value) for field, value in expected_stamp.items()}
+        mismatched = sorted(
+            field
+            for field in set(expected) | set(stamp)
+            if expected.get(field) != stamp.get(field)
         )
-        edge_bounds = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
-        )
-        shards = []
-        for position, head_vertex in enumerate(heads):
-            lo, hi = int(edge_bounds[position]), int(edge_bounds[position + 1])
-            tail_lo, tail_hi = int(tail_offsets[lo]), int(tail_offsets[hi])
-            head_lo, head_hi = int(head_offsets[lo]), int(head_offsets[hi])
-            shards.append(
-                IndexShard(
-                    head_vertex,
-                    num_vertices,
-                    weights[lo:hi],
-                    tail_ids[tail_lo:tail_hi],
-                    tail_offsets[lo : hi + 1] - tail_lo,
-                    head_ids[head_lo:head_hi],
-                    head_offsets[lo : hi + 1] - head_lo,
-                )
+        if mismatched:
+            details = ", ".join(
+                f"{field}: snapshot={stamp.get(field)!r} expected={expected.get(field)!r}"
+                for field in mismatched
             )
+            raise SnapshotVersionError(
+                f"shard archive {path} does not match its model ({details}); "
+                "refusing to serve stale arrays — recompile and re-save"
+            )
+    num_vertices = int(data["num_vertices"])
+    heads = data["shard_heads"].tolist()
+    counts = data["shard_edge_counts"]
+    weights, tail_ids, tail_offsets, head_ids, head_offsets = (
+        data[name] for name in _SHARD_ARRAYS
+    )
+    edge_bounds = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
+    )
+    shards = []
+    for position, head_vertex in enumerate(heads):
+        lo, hi = int(edge_bounds[position]), int(edge_bounds[position + 1])
+        tail_lo, tail_hi = int(tail_offsets[lo]), int(tail_offsets[hi])
+        head_lo, head_hi = int(head_offsets[lo]), int(head_offsets[hi])
+        shards.append(
+            IndexShard(
+                head_vertex,
+                num_vertices,
+                weights[lo:hi],
+                tail_ids[tail_lo:tail_hi],
+                tail_offsets[lo : hi + 1] - tail_lo,
+                head_ids[head_lo:head_hi],
+                head_offsets[lo : hi + 1] - head_lo,
+            )
+        )
     return stamp, shards
 
 

@@ -63,6 +63,7 @@ Examples
 from __future__ import annotations
 
 import json
+import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -387,14 +388,17 @@ def make_counts_loader(engine, sources, note_restored):
     decodes and merges them — base first, later checkpoints winning per
     candidate, keeping only archives whose domain stamp matches the store
     at first-refresh time — and reports the adopted count through
-    ``note_restored``.
+    ``note_restored``.  The loader is staged on ``engine`` and holds it
+    weakly, so an engine dropped before its first refresh is freed at
+    once instead of waiting for the cyclic garbage collector.
     """
     sources = tuple(sources)
+    engine_ref = weakref.ref(engine)
 
     def load_staged_counts():
         with _OBS_OPEN_COUNTS.time(archives=len(sources)):
             merged: dict[tuple[int, ...], tuple[Any, int]] = {}
-            stamp = engine.count_state_stamp()
+            stamp = engine_ref().count_state_stamp()
             for path, counts_bytes, what in sources:
                 try:
                     archive = load_count_states(path, raw=counts_bytes)
@@ -602,9 +606,14 @@ class DurableEngine:
             # per candidate — keeping only archives whose domain stamp
             # matches the store at that moment (a domain that grew in the
             # replayed tail, or in later appends, invalidates older
-            # archives' codes; those candidates rebuild from rows).
+            # archives' codes; those candidates rebuild from rows).  The
+            # wrapper is held weakly, as the engine is by the loader.
+            durable_ref = weakref.ref(durable)
+
             def note_restored(count: int) -> None:
-                durable._count_states_restored = count
+                restored = durable_ref()
+                if restored is not None:
+                    restored._count_states_restored = count
 
             engine.stage_count_states(
                 make_counts_loader(engine, counts_sources, note_restored)

@@ -49,6 +49,7 @@ import json
 import os
 import time
 import uuid
+import weakref
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -294,9 +295,12 @@ class ReplicaEngine:
             try:
                 engine, counts_sources = restore_engine_state(self._directory, manifest)
                 if counts_sources:
+                    replica_ref = weakref.ref(self)
 
                     def note_restored(count: int) -> None:
-                        self._count_states_restored = count
+                        replica = replica_ref()
+                        if replica is not None:
+                            replica._count_states_restored = count
 
                     engine.stage_count_states(
                         make_counts_loader(engine, counts_sources, note_restored)

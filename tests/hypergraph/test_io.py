@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.hypergraph.dhg import DirectedHypergraph
@@ -9,7 +14,9 @@ from repro.hypergraph.io import (
     hypergraph_from_dict,
     hypergraph_to_dict,
     load_hypergraph,
+    load_shards_npz,
     save_hypergraph,
+    save_shards_npz,
 )
 
 
@@ -79,3 +86,42 @@ class TestFileRoundTrip:
         loaded = load_hypergraph(path)
         assert loaded.num_edges == 2
         assert loaded.has_edge(["A"], ["B"])
+
+
+def test_archive_reads_are_safe_across_threads(tmp_path):
+    """numpy parses every ``.npy`` header with ``ast.literal_eval``, which
+    on CPython 3.11 can raise ``SystemError`` when two threads parse at
+    once.  Python code run inside garbage collections lets the interpreter
+    switch threads mid-parse; archive reads must still never fail."""
+    path = tmp_path / "shards.npz"
+    save_shards_npz(path, [], 3, {"version": 1})
+    raw = path.read_bytes()
+    errors: list[BaseException] = []
+    deadline = time.monotonic() + 2.0
+
+    def reader() -> None:
+        try:
+            while time.monotonic() < deadline:
+                load_shards_npz(path, raw=raw)
+        except Exception as error:
+            errors.append(error)
+
+    def python_in_collections(phase, info) -> None:
+        sum(range(50))
+
+    threads = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
+    thresholds, interval = gc.get_threshold(), sys.getswitchinterval()
+    gc.callbacks.append(python_in_collections)
+    gc.set_threshold(50, 5, 5)
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(python_in_collections)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

@@ -10,8 +10,9 @@ The claims under test are exactly the ones the design makes:
 * **Atomic publish** — readers only ever observe complete versions, and
   versions are monotone per observer.
 * **Tenant lifecycle** — LRU eviction checkpoints to the durable
-  directory and a later touch re-opens O(delta) with *zero* shard
-  compiles (the checkpointed sidecars are adopted, not rebuilt).
+  directory, off the evicting request's path and folded into a fresh
+  base, and a later touch waits for that checkpoint, then re-opens with
+  *zero* shard compiles (the base sidecars are adopted, not rebuilt).
 * **Read-your-writes** — an append returns only once a published
   snapshot holds its rows, and a failed publish fails the waiting
   appends at once instead of leaving them to time out.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.exceptions import (
 )
 from repro.serve import TenantManager
 from repro.serve.service import _Tenant
+from repro.storage import read_manifest
 
 ATTRIBUTES = ["sector", "trend", "volume"]
 
@@ -264,6 +267,57 @@ def test_acknowledged_appends_are_visible_to_the_next_read(manager):
     assert manager.snapshot("ryw").num_rows == total
 
 
+def test_acknowledged_appends_survive_concurrent_eviction_churn(tmp_path):
+    """More writers than cores append across more tenants than stay
+    resident, so evictions checkpoint in the background while re-opens
+    race them; every acknowledged row stays visible, then durable."""
+    ids = [f"churn{i}" for i in range(5)]
+    writers, batches = 4, 15
+    acknowledged = dict.fromkeys(ids, 0)
+    lock = threading.Lock()
+    failures: list[str] = []
+    with TenantManager(tmp_path / "serve", max_tenants=2) as manager:
+        for dataset_id in ids:
+            manager.create_tenant(dataset_id, ATTRIBUTES)
+
+        def writer(offset: int) -> None:
+            try:
+                for batch in range(batches):
+                    dataset_id = ids[(offset + batch) % len(ids)]
+                    batch_rows = rows(2, start=100 * offset + batch)
+                    added = manager.append(dataset_id, batch_rows)
+                    with lock:
+                        acknowledged[dataset_id] += added
+                        expected = acknowledged[dataset_id]
+                    visible = manager.snapshot(dataset_id).num_rows
+                    if visible < expected:
+                        failures.append(f"{dataset_id}: {visible} < {expected} rows")
+            except Exception:
+                failures.append(traceback.format_exc())
+
+        threads = [
+            threading.Thread(target=writer, args=(t,), daemon=True)
+            for t in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert manager.stats().evictions > 0
+        for dataset_id in ids:
+            assert manager.snapshot(dataset_id).num_rows == acknowledged[dataset_id]
+    with TenantManager(tmp_path / "serve") as reopened:
+        for dataset_id in ids:
+            assert reopened.snapshot(dataset_id).num_rows == acknowledged[dataset_id]
+
+
 def test_failed_publish_fails_waiting_appends_and_keeps_the_writer(
     manager, monkeypatch
 ):
@@ -326,6 +380,62 @@ def test_explicit_evict_roundtrip(manager):
     # Appends after eviction lazily re-open and keep growing the dataset.
     manager.append("cold", rows(5, start=25))
     assert wait_until(lambda: manager.snapshot("cold").num_rows == 30)
+
+
+def test_eviction_checkpoints_off_the_request_path(tmp_path):
+    with TenantManager(tmp_path / "serve", max_tenants=1) as manager:
+        manager.create_tenant("cold", ATTRIBUTES)
+        manager.append("cold", rows(30))
+        cold = manager._resolve("cold")
+        release = threading.Event()
+        checkpoint = cold._durable.checkpoint
+
+        def wedged():
+            release.wait(timeout=30.0)
+            return checkpoint()
+
+        cold._durable.checkpoint = wedged
+        reopened = {}
+        reader = threading.Thread(
+            target=lambda: reopened.update(snapshot=manager.snapshot("cold")),
+            daemon=True,
+        )
+        try:
+            # Creating "hot" evicts "cold", whose writer is wedged in its
+            # checkpoint; the create does not wait for it.
+            started = time.monotonic()
+            manager.create_tenant("hot", ATTRIBUTES)
+            assert time.monotonic() - started < 10.0
+            assert manager.resident() == ("hot",)
+            assert not cold.stopped
+            # Re-opening "cold" waits until that checkpoint has landed.
+            reader.start()
+            reader.join(timeout=0.3)
+            assert reader.is_alive()
+        finally:
+            release.set()
+        reader.join(timeout=30.0)
+        assert not reader.is_alive()
+        assert cold.stopped
+        assert reopened["snapshot"].num_rows == 30
+        assert manager.resident() == ("cold",)
+
+
+def test_eviction_folds_the_checkpoint_into_a_fresh_base(tmp_path):
+    directory = tmp_path / "serve" / "t"
+    with TenantManager(tmp_path / "serve") as manager:
+        manager.create_tenant("t", ATTRIBUTES)
+        for start in range(0, 30, 10):
+            manager.append("t", rows(10, start=start))
+            assert manager.evict("t")
+            manifest = read_manifest(directory)
+            # No delta chain and an empty log tail: a re-open reads one
+            # base and replays nothing.
+            assert manifest.deltas == []
+            assert manifest.num_rows == start + 10
+            assert manifest.wal_tail == manifest.base_wal
+        assert manager.snapshot("t").num_rows == 30
+        assert manager._resolve("t")._durable.counters.recovered_rows == 0
 
 
 def test_rejected_batch_surfaces_typed_error_and_mutates_nothing(manager):

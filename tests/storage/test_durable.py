@@ -9,7 +9,9 @@ changed.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -374,6 +376,25 @@ class TestDelegationAndLifecycle:
         durable.close()
         recovered = DurableEngine.open(tmp_path / "store")
         assert recovered.num_observations == 16
+
+    def test_reopened_engine_is_freed_without_the_cycle_collector(
+        self, seeded, tmp_path
+    ):
+        durable, _twin = seeded
+        durable.close()
+        gc.disable()  # only reference counting may free the pair
+        try:
+            recovered = DurableEngine.open(tmp_path / "store")
+            # The base count archive is staged for a first refresh that
+            # never runs; the staged loader must not pin the engine.
+            assert recovered.engine._count_loader is not None
+            engine, wrapper = weakref.ref(recovered.engine), weakref.ref(recovered)
+            recovered.close()
+            del recovered
+            assert engine() is None
+            assert wrapper() is None
+        finally:
+            gc.enable()
 
     def test_manifest_wal_position_survives_json_round_trip(self, seeded, tmp_path):
         durable, _twin = seeded

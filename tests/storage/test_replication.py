@@ -21,9 +21,11 @@ adversarial constructions:
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
 import tempfile
+import weakref
 import zlib
 from pathlib import Path
 
@@ -299,3 +301,28 @@ class TestWriteSurfaceAndLeases:
         finally:
             follower.close()
             leader.close()
+
+
+def test_bootstrapped_follower_is_freed_without_the_cycle_collector(tmp_path):
+    directory = tmp_path / "store"
+    leader = DurableEngine.create(
+        directory, attributes=ATTRIBUTES, config=CONFIG, values=VALUES
+    )
+    leader.append_rows([[0, 1, 2, 0], [1, 1, 0, 2], [2, 0, 1, 1]] * 4)
+    leader.compact()
+    leader.close()
+    gc.disable()  # only reference counting may free the follower
+    try:
+        follower = ReplicaEngine.open(directory, follower_id="gc-follower")
+        assert follower.engine._count_loader is not None
+        engine, replica = weakref.ref(follower.engine), weakref.ref(follower)
+        follower.close()
+        del follower
+        assert engine() is None
+        assert replica() is None
+    finally:
+        gc.enable()
+    # The staged archive still reaches the follower's counters.
+    with ReplicaEngine.open(directory, follower_id="gc-follower") as follower:
+        follower.engine.export_count_states()
+        assert follower.counters["count_states_restored"] > 0
