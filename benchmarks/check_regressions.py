@@ -12,27 +12,15 @@ staying small — are *held*, not merely uploaded.
 Policy
 ------
 Absolute timings vary wildly across runners, so only **ratio metrics**
-(machine-normalized) and **latency percentiles** are gated — each with
-the direction that "worse" runs for it:
+(machine-normalized, higher is better) are gated:
 
-* a metric named ``speedup``, ``size_ratio``, ``decode_speedup``, or
-  ``fraction_of_no_sync_throughput`` must stay within ``--tolerance``
-  (default 35%) of its committed baseline (higher is better, fail
-  *below* the bound),
-* a metric whose name contains a ``p50`` / ``p99`` / ``p999`` component
-  (``p99``, ``p99_ms``, ``latency_p999``, ...) is a latency percentile
-  (lower is better): it fails *above* ``baseline * (1 +
-  --latency-tolerance)``, and
+* a metric named in ``RATIO_METRICS`` (``speedup``, ``size_ratio``,
+  ``throughput_fraction``, ...) must stay within ``--tolerance`` (default
+  35%) of its committed baseline, failing *below* the bound, and
 * hard floors (the numbers the benchmarks themselves assert, mirrored in
   ``FLOORS``) apply regardless of the baseline — a baseline refresh can
-  never quietly lower a promised bound.
-
-Declarative per-file gate configs (``benchmarks/gates_*.json``) tighten
-or loosen this without code: ``latency_tolerance`` overrides the global
-latency tolerance for that file, ``max_ratio`` pins individual latency
-metrics to ``baseline * ratio`` ceilings, and ``hard_ceilings`` are
-absolute upper bounds (the mirror image of ``FLOORS`` — e.g. an
-error-rate ceiling of 0) that hold even without a baseline entry.
+  never quietly lower a promised bound, and a floored metric with no
+  baseline entry is still checked against its floor.
 
 Everything else (raw seconds, byte counts, row counts) is reported for
 context but never fails the gate.
@@ -49,15 +37,13 @@ Usage::
 
     python benchmarks/check_regressions.py \
         [--baseline-dir benchmarks/baselines] [--current-dir .] \
-        [--tolerance 0.35] [--latency-tolerance 1.0] \
-        [--only BENCH_loadgen.json]
+        [--tolerance 0.35]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -72,11 +58,6 @@ RATIO_METRICS = frozenset(
         "throughput_fraction",
     ]
 )
-
-#: Latency-percentile metric names: a ``p50`` / ``p99`` / ``p999``
-#: component anywhere in the leaf key (``p99``, ``p99_ms``,
-#: ``latency_p999``, ...).  Gated direction-aware: lower is better.
-PERCENTILE_KEY = re.compile(r"(?:^|_)p(?:50|99|999)(?:_|$)")
 
 #: Hard floors mirroring the asserts inside the benchmark modules:
 #: ``{file: {"<section>.<metric>": floor}}``.  These hold even when the
@@ -140,29 +121,10 @@ def skipped_sections(document: dict) -> set[str]:
     }
 
 
-def load_gates(gates_dir: Path) -> dict[str, dict]:
-    """Load every ``gates_*.json`` config, keyed by the BENCH file it gates.
-
-    Each config is ``{"file": "BENCH_x.json", "latency_tolerance": float?,
-    "max_ratio": {"<section>.<metric>": ratio}?, "hard_ceilings":
-    {"<section>.<metric>": max}?}``.
-    """
-    gates: dict[str, dict] = {}
-    for path in sorted(gates_dir.glob("gates_*.json")):
-        config = json.loads(path.read_text())
-        target = config.get("file")
-        if not isinstance(target, str):
-            raise SystemExit(f"{path}: gate config has no 'file' key")
-        gates[target] = config
-    return gates
-
-
 def check_file(
     baseline_path: Path,
     current_path: Path,
     tolerance: float,
-    latency_tolerance: float = 1.0,
-    gates: dict | None = None,
 ) -> tuple[list[str], list[str]]:
     """Compare one benchmark file; returns ``(failures, report_lines)``."""
     failures: list[str] = []
@@ -179,44 +141,18 @@ def check_file(
         )
     current = json.loads(current_path.read_text())
     floors = FLOORS.get(baseline_path.name, {})
-    gates = gates or {}
-    latency_tolerance = gates.get("latency_tolerance", latency_tolerance)
-    max_ratio = gates.get("max_ratio", {})
-    ceilings = gates.get("hard_ceilings", {})
     current_metrics = dict(iter_metrics(current))
     baseline_metrics = dict(iter_metrics(baseline))
     skipped = skipped_sections(current)
     for name, base_value in baseline_metrics.items():
         metric = name.rsplit(".", 1)[1]
-        is_latency = bool(PERCENTILE_KEY.search(metric))
         if name.split(".", 1)[0] in skipped:
             lines.append(f"  [skipped] {name}: not runnable on this machine")
             continue
         value = current_metrics.get(name)
         if value is None:
-            if metric in RATIO_METRICS or is_latency:
+            if metric in RATIO_METRICS:
                 failures.append(f"{baseline_path.name}: {name} disappeared")
-            continue
-        if is_latency:
-            # Lower is better: the gate is a ceiling above the baseline.
-            ratio = max_ratio.get(name)
-            if ratio is not None:
-                bound = base_value * ratio
-                headroom = f"x {ratio:g} (max_ratio)"
-            else:
-                bound = base_value * (1.0 + latency_tolerance)
-                headroom = f"+ {latency_tolerance:.0%}"
-            status = "ok"
-            if value > bound:
-                status = "REGRESSED"
-                failures.append(
-                    f"{baseline_path.name}: {name} = {value:.3f}, above "
-                    f"{bound:.3f} (baseline {base_value:.3f} {headroom})"
-                )
-            lines.append(
-                f"  [{status}] {name}: baseline {base_value:.3f}, "
-                f"current {value:.3f}, ceiling {bound:.3f}"
-            )
             continue
         if metric not in RATIO_METRICS:
             lines.append(f"  [info] {name}: {base_value:.4g} -> {value:.4g}")
@@ -262,28 +198,6 @@ def check_file(
                 f"  [ok] {name}: current {value:.3f}, floor {floor} "
                 "(no baseline entry)"
             )
-    # Hard ceilings are FLOORS' mirror image: absolute upper bounds (an
-    # error rate that must stay 0, a queue depth that must stay bounded)
-    # holding with or without a baseline entry.
-    for name, ceiling in sorted(ceilings.items()):
-        if name.split(".", 1)[0] in skipped:
-            lines.append(f"  [skipped] {name}: not runnable on this machine")
-            continue
-        value = current_metrics.get(name)
-        if value is None:
-            failures.append(
-                f"{baseline_path.name}: ceiling metric {name} is absent from "
-                "the current results"
-            )
-        elif value > ceiling:
-            failures.append(
-                f"{baseline_path.name}: {name} = {value:.4g}, above its hard "
-                f"ceiling {ceiling:g}"
-            )
-        else:
-            lines.append(
-                f"  [ok] {name}: current {value:.4g}, ceiling {ceiling:g}"
-            )
     return failures, lines
 
 
@@ -310,51 +224,17 @@ def main(argv: list[str] | None = None) -> int:
         default=0.35,
         help="allowed relative drop of a ratio metric below its baseline",
     )
-    parser.add_argument(
-        "--latency-tolerance",
-        type=float,
-        default=1.0,
-        help=(
-            "allowed relative rise of a latency percentile above its "
-            "baseline (1.0 = may double) unless a gates_*.json overrides it"
-        ),
-    )
-    parser.add_argument(
-        "--gates-dir",
-        type=Path,
-        default=repo_root / "benchmarks",
-        help="directory holding declarative gates_*.json configs",
-    )
-    parser.add_argument(
-        "--only",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="gate only this BENCH_*.json file (e.g. BENCH_loadgen.json)",
-    )
     args = parser.parse_args(argv)
 
     baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
-    if args.only:
-        baselines = [path for path in baselines if path.name == args.only]
     if not baselines:
-        where = f"under {args.baseline_dir}" + (
-            f" matching {args.only}" if args.only else ""
-        )
-        print(f"no baselines found {where}", file=sys.stderr)
+        print(f"no baselines found under {args.baseline_dir}", file=sys.stderr)
         return 2
 
-    gate_configs = load_gates(args.gates_dir) if args.gates_dir.is_dir() else {}
     all_failures: list[str] = []
     for baseline_path in baselines:
         current_path = args.current_dir / baseline_path.name
-        failures, lines = check_file(
-            baseline_path,
-            current_path,
-            args.tolerance,
-            latency_tolerance=args.latency_tolerance,
-            gates=gate_configs.get(baseline_path.name),
-        )
+        failures, lines = check_file(baseline_path, current_path, args.tolerance)
         print(f"{baseline_path.name}:")
         for line in lines:
             print(line)

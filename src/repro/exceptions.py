@@ -175,16 +175,6 @@ class TenantUnavailableError(ServeError):
     """
 
 
-class LoadgenError(ReproError):
-    """The load-generation harness was misconfigured or hit a fatal fault.
-
-    Raised for invalid operation mixes, non-positive rates/durations, and
-    workload targets that cannot be prepared.  Per-request failures during
-    a run are *not* raised — they are recorded into the error taxonomy of
-    the run's report.
-    """
-
-
 class ObservabilityError(ReproError):
     """The metrics/tracing layer was misused.
 

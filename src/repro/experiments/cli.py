@@ -38,7 +38,6 @@ from pathlib import Path
 
 from repro import obs
 from repro.engine.replay import run_streaming_replay
-from repro.exceptions import LoadgenError
 from repro.experiments.figures import (
     run_figure_5_1,
     run_figure_5_2,
@@ -83,9 +82,6 @@ STATS_COMMAND = "stats"
 
 #: Serving subcommand: host a multi-tenant query service over HTTP.
 SERVE_COMMAND = "serve"
-
-#: Load-harness subcommand: open-loop load against a serving endpoint.
-LOADGEN_COMMAND = "loadgen"
 
 
 def durable_engine_options(sync_mode: str, fsync_interval_ms: float) -> dict:
@@ -279,63 +275,6 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_loadgen(args) -> int:
-    """Drive an open-loop load run and print the merged fleet report.
-
-    ``--target URL`` fires at an already running service; ``--self-serve``
-    boots a hermetic in-process server on a temporary directory first and
-    tears it down afterwards.  Latencies are measured from each request's
-    *scheduled* start time (coordinated-omission-safe) and merged across
-    workers by exact histogram-bucket addition.
-    """
-    from repro.loadgen import (
-        DEFAULT_MIX,
-        CorpusSpec,
-        LoadgenConfig,
-        format_report,
-        parse_mix,
-        run_load,
-        self_served,
-    )
-
-    mix = parse_mix(args.mix) if args.mix else dict(DEFAULT_MIX)
-    corpus = CorpusSpec(
-        dataset_id=args.dataset, append_batch=args.append_batch, seed=args.seed
-    )
-
-    def drive(target: str):
-        return run_load(
-            LoadgenConfig(
-                target=target,
-                rate=args.rate,
-                duration=args.duration,
-                mix=mix,
-                workers=args.workers,
-                arrival=args.arrival,
-                seed=args.seed,
-                corpus=corpus,
-            )
-        )
-
-    if args.self_serve:
-        with self_served() as url:
-            print(f"self-serving on {url}\n")
-            report = drive(url)
-    else:
-        report = drive(args.target)
-
-    print(format_report(report))
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote JSON report to {args.report}")
-    if args.prometheus_out:
-        Path(args.prometheus_out).write_text(report.to_prometheus())
-        print(f"wrote Prometheus text to {args.prometheus_out}")
-    return 0
-
-
 def _run_one(
     name: str,
     workload,
@@ -397,7 +336,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             FOLLOW_COMMAND,
             STATS_COMMAND,
             SERVE_COMMAND,
-            LOADGEN_COMMAND,
             "all",
         ),
         help=(
@@ -405,8 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "replay; 'compact' folds a --durable directory; 'follow' tails "
             "one as a read-only replica; 'stats' pretty-prints a metrics "
             "snapshot; 'serve' hosts a multi-tenant HTTP query service over "
-            "--durable-root; 'loadgen' fires an open-loop workload at a "
-            "serving endpoint and reports merged p50/p99/p999)"
+            "--durable-root)"
         ),
     )
     parser.add_argument(
@@ -518,10 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=8,
         metavar="N",
-        help=(
-            "for 'serve': size of the bounded HTTP handler thread pool; "
-            "for 'loadgen': number of load-driving worker threads"
-        ),
+        help="for 'serve': size of the bounded HTTP handler thread pool",
     )
     parser.add_argument(
         "--max-tenants",
@@ -548,87 +482,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--serve-verbose",
         action="store_true",
         help="for 'serve': log one line per HTTP request to stderr",
-    )
-    parser.add_argument(
-        "--target",
-        type=str,
-        default=None,
-        metavar="URL",
-        help="for 'loadgen': base URL of the serving endpoint to load",
-    )
-    parser.add_argument(
-        "--self-serve",
-        action="store_true",
-        help=(
-            "for 'loadgen': boot a hermetic in-process server on a "
-            "temporary directory and load that (no --target needed)"
-        ),
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=50.0,
-        metavar="R",
-        help="for 'loadgen': target arrival rate in requests/second",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="for 'loadgen': seconds of scheduled load",
-    )
-    parser.add_argument(
-        "--mix",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "for 'loadgen': weighted operation mix as "
-            "'append=0.2,similarity=0.4,...' over append/similarity/"
-            "neighbors/clusters/dominators/classify (default: a read-heavy "
-            "mix of all six)"
-        ),
-    )
-    parser.add_argument(
-        "--arrival",
-        choices=("poisson", "fixed"),
-        default="poisson",
-        help=(
-            "for 'loadgen': inter-arrival process — memoryless 'poisson' "
-            "(realistic open-loop traffic) or deterministic 'fixed' ticks"
-        ),
-    )
-    parser.add_argument(
-        "--dataset",
-        type=str,
-        default="loadgen",
-        metavar="ID",
-        help="for 'loadgen': tenant dataset id to create/seed and load",
-    )
-    parser.add_argument(
-        "--append-batch",
-        type=int,
-        default=4,
-        metavar="N",
-        help="for 'loadgen': rows per append request",
-    )
-    parser.add_argument(
-        "--report",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="for 'loadgen': also write the full report as JSON to FILE",
-    )
-    parser.add_argument(
-        "--prometheus-out",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help=(
-            "for 'loadgen': also write the merged instruments as Prometheus "
-            "text exposition to FILE"
-        ),
     )
     parser.add_argument(
         "--output",
@@ -667,11 +520,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.experiment == SERVE_COMMAND and not args.durable_root:
         parser.error("'serve' requires --durable-root DIR")
-    if args.experiment == LOADGEN_COMMAND:
-        if bool(args.target) == bool(args.self_serve):
-            parser.error(
-                "'loadgen' requires exactly one of --target URL or --self-serve"
-            )
     if args.experiment in (COMPACT_COMMAND, FOLLOW_COMMAND) and not args.durable:
         parser.error(f"'{args.experiment}' requires --durable DIR")
 
@@ -697,13 +545,6 @@ def _run_command(args: argparse.Namespace) -> int:
     """Run the parsed experiment(s) or subcommand; returns the exit code."""
     if args.experiment == SERVE_COMMAND:
         return _run_serve(args)
-
-    if args.experiment == LOADGEN_COMMAND:
-        try:
-            return _run_loadgen(args)
-        except LoadgenError as error:
-            print(f"loadgen: {error}", file=sys.stderr)
-            return 2
 
     if args.experiment == COMPACT_COMMAND:
         print(f"== {COMPACT_COMMAND} ==\n{_run_compact(args.durable)}\n")

@@ -30,7 +30,6 @@ Typical use::
 
 from repro.obs.export import (
     format_snapshot,
-    instruments_to_prometheus,
     to_chrome_trace,
     to_prometheus,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "format_snapshot",
     "gauge",
     "histogram",
-    "instruments_to_prometheus",
     "timed",
     "timer",
     "to_chrome_trace",

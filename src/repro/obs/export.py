@@ -15,11 +15,10 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = [
     "format_snapshot",
-    "instruments_to_prometheus",
     "to_chrome_trace",
     "to_prometheus",
 ]
@@ -40,20 +39,8 @@ def _prom_float(value: float) -> str:
 
 def to_prometheus(registry: Any) -> str:
     """The registry's instruments in Prometheus text exposition format."""
-    return instruments_to_prometheus(registry.instruments())
-
-
-def instruments_to_prometheus(instruments: Mapping[str, Any]) -> str:
-    """A name-to-instrument mapping in Prometheus text exposition format.
-
-    The registry-less sibling of :func:`to_prometheus` for callers that
-    hold bare instruments — the load harness merges per-worker histograms
-    into fleet-wide ones and exports them here without ever touching the
-    process registry.
-    """
     lines: list[str] = []
-    for name in sorted(instruments):
-        instrument = instruments[name]
+    for name, instrument in sorted(registry.instruments().items()):
         metric = _prom_name(name)
         kind = instrument.kind
         if instrument.description:

@@ -20,8 +20,8 @@ within a documented *relative* error of the true sample quantile
 (:attr:`Histogram.relative_error`, the growth factor minus one) for any
 value inside the covered range.  Two histograms over the same boundaries
 merge by adding bucket counts, which makes merging exact, commutative,
-and associative — the property the replica / load-harness work needs to
-aggregate per-worker histograms into fleet percentiles.
+and associative, so per-worker histograms aggregate into fleet
+percentiles without pooling samples.
 
 All instruments are plain Python objects mutated under the GIL; increments
 and records are safe from multiple threads (they may interleave, never

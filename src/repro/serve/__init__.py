@@ -8,9 +8,7 @@ Layers, innermost first:
 * :mod:`repro.serve.schemas` — typed request/response dataclasses and the
   ``{"error": {"code", "message", "detail"}}`` envelope.
 * :mod:`repro.serve.http` — the stdlib ``ThreadingHTTPServer`` JSON
-  transport (what tier-1 exercises).
-* :mod:`repro.serve.fastapi_app` — an optional FastAPI/pydantic adapter,
-  import-guarded so the package never requires web dependencies.
+  transport, so the package never requires web dependencies.
 """
 
 from repro.serve.service import EngineSnapshot, TenantManager, TenantStats

@@ -5,8 +5,7 @@ A :class:`ThreadingHTTPServer` front end over
 connection, every handler serving queries from the tenant's published
 snapshot, so the transport inherits the service core's guarantee that no
 query blocks on an append.  Tier-1 exercises this transport end-to-end
-(no third-party web dependencies); the optional FastAPI adapter in
-:mod:`repro.serve.fastapi_app` mirrors the same routes.
+(no third-party web dependencies).
 
 Endpoints
 ---------

@@ -3,9 +3,7 @@
 Stdlib-only dataclasses (tier-1 must exercise the service without web
 dependencies): every request validates itself in ``from_dict`` — raising
 :class:`~repro.exceptions.RequestValidationError` with a field-level
-message — and every response serializes itself in ``to_dict``.  The
-FastAPI adapter mirrors these as pydantic models; the stdlib transport
-uses them directly.
+message — and every response serializes itself in ``to_dict``.
 
 The error envelope maps the library's exception hierarchy onto distinct
 wire codes (and HTTP statuses), so clients can distinguish a malformed

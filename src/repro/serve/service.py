@@ -29,9 +29,8 @@ keyed by dataset id, LRU-evicts cold ones to their durable directories
 on next touch — re-opening reads that one base and adopts its shard
 sidecar, so it replays no delta chain and compiles nothing.
 
-Everything here is stdlib-only; the HTTP transports live in
-:mod:`repro.serve.http` (stdlib) and :mod:`repro.serve.fastapi_app`
-(optional).
+Everything here is stdlib-only; the HTTP transport lives in
+:mod:`repro.serve.http`.
 """
 
 from __future__ import annotations
@@ -311,9 +310,13 @@ class _Tenant:
 
     def _shutdown(self, op: _CloseOp) -> None:
         try:
-            if op.checkpoint:
-                self._durable.checkpoint()
-            self._durable.close()
+            try:
+                if op.checkpoint:
+                    self._durable.checkpoint()
+            finally:
+                # A failed checkpoint still releases the log: the rows it
+                # missed are durable there and replay on the next open.
+                self._durable.close()
         finally:
             # Fail anything that raced into the queue behind the sentinel.
             while True:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 
 import pytest
 
@@ -157,66 +159,58 @@ class TestObservabilityFlags:
         assert not obs.active_registry().enabled
 
 
-class TestLoadgenCommand:
-    """The 'loadgen' subcommand: hermetic self-serve runs and validation."""
+class TestServeCommand:
+    """The 'serve' subcommand, with its blocking server loop faked out."""
 
-    ARGS = [
-        "loadgen",
-        "--self-serve",
-        "--rate",
-        "30",
-        "--duration",
-        "1",
-        "--arrival",
-        "fixed",
-        "--workers",
-        "2",
-        "--seed",
-        "5",
-    ]
+    REQUESTS = (
+        ("/v1/tenants", {"dataset_id": "cli", "attributes": ["a", "b", "c"]}),
+        ("/v1/tenants/cli/append", {"rows": [[0, 1, 0], [1, 0, 1], [1, 1, 0]]}),
+        ("/v1/tenants/cli/query/similarity", {"first": "a", "second": "b"}),
+    )
 
-    def test_self_serve_run_prints_report_and_writes_json(self, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        prom_path = tmp_path / "metrics.prom"
-        exit_code = main(
-            self.ARGS
-            + ["--report", str(report_path), "--prometheus-out", str(prom_path)]
-        )
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "achieved rate" in out
-        assert "p99 ms" in out
-        document = json.loads(report_path.read_text())
-        assert document["requests"] == 30
-        assert document["operations"]
-        assert "loadgen_requests_total 30" in prom_path.read_text()
-
-    def test_metrics_out_collects_the_self_served_server(self, tmp_path, capsys):
+    def test_metrics_out_collects_a_live_server(self, tmp_path, monkeypatch, capsys):
         from repro import obs
+        from repro.serve import http as serve_http
 
+        statuses = []
+
+        def serve_three_requests(manager, **_options):
+            server = serve_http.create_server(manager, port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            host, port = server.server_address[:2]
+            try:
+                for path, body in self.REQUESTS:
+                    connection = http.client.HTTPConnection(host, port, timeout=30)
+                    try:
+                        connection.request(
+                            "POST",
+                            path,
+                            body=json.dumps(body),
+                            headers={"Content-Type": "application/json"},
+                        )
+                        response = connection.getresponse()
+                        response.read()
+                        statuses.append(response.status)
+                    finally:
+                        connection.close()
+            finally:
+                server.shutdown()
+                server.server_close()
+                manager.close()
+                thread.join(timeout=10)
+
+        monkeypatch.setattr(serve_http, "run", serve_three_requests)
         metrics = tmp_path / "metrics.json"
-        assert main(self.ARGS + ["--metrics-out", str(metrics)]) == 0
+        argv = ["serve", "--durable-root", str(tmp_path / "tenants")]
+        assert main(argv + ["--metrics-out", str(metrics)]) == 0
         capsys.readouterr()
-        snapshot = json.loads(metrics.read_text())
-        assert snapshot["counters"]["serve.http.requests"] >= 30
+        assert statuses == [201, 200, 200]
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["serve.http.requests"] >= 3
+        assert counters["serve.publishes"] >= 1
         assert not obs.active_registry().enabled
 
-    def test_custom_mix_restricts_operations(self, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        exit_code = main(
-            self.ARGS + ["--mix", "similarity=1.0", "--report", str(report_path)]
-        )
-        assert exit_code == 0
-        document = json.loads(report_path.read_text())
-        assert set(document["operations"]) == {"similarity"}
-
-    def test_requires_exactly_one_target(self):
+    def test_requires_durable_root(self):
         with pytest.raises(SystemExit):
-            main(["loadgen"])
-        with pytest.raises(SystemExit):
-            main(["loadgen", "--self-serve", "--target", "http://localhost:1"])
-
-    def test_bad_mix_is_a_clean_error(self, capsys):
-        exit_code = main(self.ARGS + ["--mix", "frobnicate=1.0"])
-        assert exit_code == 2
-        assert "loadgen:" in capsys.readouterr().err
+            main(["serve"])

@@ -12,7 +12,8 @@ The claims under test are exactly the ones the design makes:
 * **Tenant lifecycle** — LRU eviction checkpoints to the durable
   directory, off the evicting request's path and folded into a fresh
   base, and a later touch waits for that checkpoint, then re-opens with
-  *zero* shard compiles (the base sidecars are adopted, not rebuilt).
+  *zero* shard compiles (the base sidecars are adopted, not rebuilt).  A
+  checkpoint that fails on eviction still closes the tenant's log.
 * **Read-your-writes** — an append returns only once a published
   snapshot holds its rows, and a failed publish fails the waiting
   appends at once instead of leaving them to time out.
@@ -20,6 +21,7 @@ The claims under test are exactly the ones the design makes:
 
 from __future__ import annotations
 
+import errno
 import sys
 import threading
 import time
@@ -419,6 +421,31 @@ def test_eviction_checkpoints_off_the_request_path(tmp_path):
         assert cold.stopped
         assert reopened["snapshot"].num_rows == 30
         assert manager.resident() == ("cold",)
+
+
+def test_failed_eviction_checkpoint_still_closes_the_log(tmp_path, monkeypatch):
+    raised: list[BaseException] = []
+    monkeypatch.setattr(
+        threading, "excepthook", lambda args: raised.append(args.exc_value)
+    )
+    with TenantManager(tmp_path / "serve", max_tenants=1) as manager:
+        manager.create_tenant("cold", ATTRIBUTES)
+        acknowledged = manager.append("cold", rows(3))
+        cold = manager._resolve("cold")
+        durable = cold._durable
+
+        def disk_full():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        durable.checkpoint = disk_full
+        manager.create_tenant("hot", ATTRIBUTES)  # evicts "cold" (the LRU)
+        cold.join()
+        # The checkpoint's error still ends the writer, but the log is
+        # released rather than left open until garbage collection.
+        assert [type(error) for error in raised] == [OSError]
+        assert durable._closed
+        # The rows the checkpoint missed replay from the log on re-open.
+        assert manager.snapshot("cold").num_rows == acknowledged
 
 
 def test_eviction_folds_the_checkpoint_into_a_fresh_base(tmp_path):

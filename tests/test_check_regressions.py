@@ -1,11 +1,12 @@
-"""Unit tests for the benchmark regression gate's direction logic.
+"""Unit tests for the benchmark regression gate.
 
 ``benchmarks/check_regressions.py`` is a script outside the package, so
 it is loaded here via importlib.  The claims under test: ratio metrics
-fail *below* their bound (higher is better), latency percentiles fail
-*above* theirs (lower is better), ``_skipped`` waivers work in both
-directions, and the declarative gate configs (``max_ratio`` /
-``hard_ceilings``) bind.
+fail *below* their tolerance bound (higher is better), a ``FLOORS``
+entry holds whether or not the baseline records its metric, the
+``_skipped`` waivers work in both directions, every floor is reachable
+from a committed baseline, and ``main()`` exits non-zero on a missing
+baseline directory or a missing current file.
 """
 
 from __future__ import annotations
@@ -39,63 +40,20 @@ def write(directory: Path, name: str, document: dict) -> Path:
     return path
 
 
-def run_check(dirs, baseline, current, name="BENCH_x.json", **kwargs):
+def run_check(dirs, baseline, current, name="BENCH_x.json"):
     baseline_dir, current_dir = dirs
     return check_regressions.check_file(
         write(baseline_dir, name, baseline),
         write(current_dir, name, current),
         tolerance=0.35,
-        **kwargs,
     )
 
 
-# --------------------------------------------------------------- percentile keys
-@pytest.mark.parametrize(
-    "key", ["p50", "p99", "p999", "p50_ms", "p99_ms", "latency_p999"]
-)
-def test_percentile_key_detection_positive(key):
-    assert check_regressions.PERCENTILE_KEY.search(key)
+def set_floors(monkeypatch, floors: dict, name="BENCH_x.json") -> None:
+    monkeypatch.setitem(check_regressions.FLOORS, name, floors)
 
 
-@pytest.mark.parametrize(
-    "key", ["speedup", "p100", "per_pair_s", "pp99", "p999x", "append_s"]
-)
-def test_percentile_key_detection_negative(key):
-    assert not check_regressions.PERCENTILE_KEY.search(key)
-
-
-# --------------------------------------------------------------- direction logic
-def test_latency_rise_beyond_tolerance_fails(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 25.0}},
-        latency_tolerance=1.0,
-    )
-    assert failures and "above" in failures[0]
-
-
-def test_latency_within_tolerance_passes(dirs):
-    failures, lines = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 19.0}},
-        latency_tolerance=1.0,
-    )
-    assert not failures
-    assert any("[ok]" in line for line in lines)
-
-
-def test_latency_improvement_never_fails(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 0.1}},
-        latency_tolerance=0.0,
-    )
-    assert not failures
-
-
+# --------------------------------------------------------------- ratio gate
 def test_ratio_metric_still_fails_below_its_bound(dirs):
     failures, _ = run_check(
         dirs,
@@ -103,15 +61,6 @@ def test_ratio_metric_still_fails_below_its_bound(dirs):
         {"sec": {"speedup": 1.0}},
     )
     assert failures and "below" in failures[0]
-
-
-def test_disappeared_latency_metric_fails(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"other": 1.0}},
-    )
-    assert failures and "disappeared" in failures[0]
 
 
 def test_plain_metrics_stay_informational(dirs):
@@ -124,130 +73,109 @@ def test_plain_metrics_stay_informational(dirs):
     assert any("[info]" in line for line in lines)
 
 
+# --------------------------------------------------------------- floors
+def test_floor_above_the_tolerance_bound_decides_the_failure(dirs, monkeypatch):
+    set_floors(monkeypatch, {"sec.speedup": 5.0})
+    # 4.5 is within 35% of the baseline (bound 3.9), but under the floor.
+    failures, _ = run_check(
+        dirs,
+        {"sec": {"speedup": 6.0}},
+        {"sec": {"speedup": 4.5}},
+    )
+    assert len(failures) == 1
+    assert "below 5.000" in failures[0] and "floor 5.0" in failures[0]
+
+
+def test_floored_metric_without_baseline_entry_is_held_to_its_floor(
+    dirs, monkeypatch
+):
+    set_floors(monkeypatch, {"sec.speedup": 2.0})
+    baseline = {"sec": {"append_s": 1.0}}
+    failures, _ = run_check(dirs, baseline, {"sec": {"speedup": 1.5}})
+    assert len(failures) == 1
+    assert "hard floor 2.0" in failures[0] and "no baseline entry" in failures[0]
+
+    failures, lines = run_check(dirs, baseline, {"sec": {"speedup": 2.5}})
+    assert not failures
+    assert any("[ok] sec.speedup" in line for line in lines)
+
+
+def test_floored_metric_absent_from_baseline_and_current_fails(dirs, monkeypatch):
+    set_floors(monkeypatch, {"sec.speedup": 2.0})
+    failures, _ = run_check(
+        dirs,
+        {"sec": {"append_s": 1.0}},
+        {"sec": {"append_s": 1.0}},
+    )
+    assert len(failures) == 1
+    assert "absent from both baseline and current" in failures[0]
+
+
 # --------------------------------------------------------------- skip waivers
-def test_skipped_current_section_waives_latency_gate(dirs):
+def test_skipped_current_section_waives_ratio_gate_and_floor(dirs, monkeypatch):
+    # One floor whose metric the baseline records, one whose it does not:
+    # the skipped section waives both.
+    set_floors(monkeypatch, {"sec.speedup": 5.0, "sec.size_ratio": 3.0})
     failures, lines = run_check(
         dirs,
-        {"sec": {"p99_ms": 10.0}},
+        {"sec": {"speedup": 10.0}},
         {"sec": {"_skipped": 1}},
-        latency_tolerance=0.0,
     )
     assert not failures
-    assert any("[skipped]" in line for line in lines)
+    skipped = [line for line in lines if "[skipped]" in line]
+    assert len(skipped) == 2
+    assert any("sec.speedup" in line for line in skipped)
+    assert any("sec.size_ratio" in line for line in skipped)
 
 
-def test_skipped_baseline_section_still_gates_current_ceilings(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"_skipped": 1}},
-        {"sec": {"error_rate": 0.5}},
-        gates={"hard_ceilings": {"sec.error_rate": 0.0}},
-    )
-    assert failures and "ceiling" in failures[0]
+def test_skipped_baseline_section_leaves_floors_gating_current(dirs, monkeypatch):
+    set_floors(monkeypatch, {"sec.speedup": 1.8})
+    baseline = {"sec": {"_skipped": 1}}
+    failures, _ = run_check(dirs, baseline, {"sec": {"speedup": 1.0}})
+    assert len(failures) == 1 and "hard floor 1.8" in failures[0]
 
-
-# --------------------------------------------------------------- gate configs
-def test_max_ratio_overrides_latency_tolerance(dirs):
-    gates = {"max_ratio": {"sec.p99_ms": 1.5}}
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 16.0}},
-        latency_tolerance=5.0,
-        gates=gates,
-    )
-    assert failures and "max_ratio" in failures[0]
-
-
-def test_gate_config_latency_tolerance_overrides_global(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 12.0}},
-        latency_tolerance=5.0,
-        gates={"latency_tolerance": 0.1},
-    )
-    assert failures
-
-
-def test_hard_ceiling_holds_without_baseline_entry(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 10.0, "error_rate": 0.25}},
-        gates={"hard_ceilings": {"sec.error_rate": 0.0}},
-    )
-    assert failures and "hard" in failures[0] and "ceiling" in failures[0]
-
-
-def test_hard_ceiling_at_zero_passes_clean_run(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 10.0, "error_rate": 0.0}},
-        gates={"hard_ceilings": {"sec.error_rate": 0.0}},
-    )
+    failures, _ = run_check(dirs, baseline, {"sec": {"speedup": 2.0}})
     assert not failures
 
 
-def test_absent_ceiling_metric_fails(dirs):
-    failures, _ = run_check(
-        dirs,
-        {"sec": {"p99_ms": 10.0}},
-        {"sec": {"p99_ms": 10.0}},
-        gates={"hard_ceilings": {"sec.error_rate": 0.0}},
-    )
-    assert failures and "absent" in failures[0]
+def test_every_floor_is_reachable_from_a_committed_baseline():
+    """``main()`` walks only committed baselines, so a floor whose file has
+    no baseline (or whose metric that baseline neither records nor skips)
+    would never be checked."""
+    baseline_dir = _SCRIPT.parent / "baselines"
+    for name, floors in check_regressions.FLOORS.items():
+        path = baseline_dir / name
+        assert path.is_file(), f"{name} has floors but no committed baseline"
+        document = json.loads(path.read_text())
+        recorded = dict(check_regressions.iter_metrics(document))
+        skipped = check_regressions.skipped_sections(document)
+        for metric in floors:
+            assert metric in recorded or metric.split(".", 1)[0] in skipped, (
+                f"{name}: floored metric {metric} is neither recorded nor skipped"
+            )
 
 
-def test_load_gates_indexes_by_target_file(tmp_path):
-    write(
-        tmp_path,
-        "gates_example.json",
-        {"file": "BENCH_example.json", "hard_ceilings": {"a.b": 1.0}},
-    )
-    gates = check_regressions.load_gates(tmp_path)
-    assert set(gates) == {"BENCH_example.json"}
-    assert gates["BENCH_example.json"]["hard_ceilings"] == {"a.b": 1.0}
-
-
-# --------------------------------------------------------------- main() / --only
-def test_main_only_filters_to_one_file(dirs, tmp_path, capsys, monkeypatch):
+# --------------------------------------------------------------- main()
+def test_main_fails_when_a_current_file_is_missing(dirs, capsys):
     baseline_dir, current_dir = dirs
     write(baseline_dir, "BENCH_a.json", {"sec": {"speedup": 1.0}})
     write(baseline_dir, "BENCH_b.json", {"sec": {"speedup": 1.0}})
     write(current_dir, "BENCH_a.json", {"sec": {"speedup": 1.0}})
-    # BENCH_b.json is missing from current: gating it would fail, so the
-    # --only filter passing proves the filter actually applied.
     exit_code = check_regressions.main(
-        [
-            "--baseline-dir",
-            str(baseline_dir),
-            "--current-dir",
-            str(current_dir),
-            "--gates-dir",
-            str(tmp_path / "nowhere"),
-            "--only",
-            "BENCH_a.json",
-        ]
+        ["--baseline-dir", str(baseline_dir), "--current-dir", str(current_dir)]
     )
-    out = capsys.readouterr().out
-    assert exit_code == 0
-    assert "BENCH_a.json" in out
-    assert "BENCH_b.json" not in out
+    captured = capsys.readouterr()
+    assert exit_code == 1
+    assert "[ok] sec.speedup" in captured.out
+    assert "BENCH_b.json: missing" in captured.err
+    assert "BENCH_a.json:" not in captured.err
 
 
-def test_main_unknown_only_is_an_error(dirs, capsys):
+def test_main_without_baselines_is_an_error(dirs, capsys):
     baseline_dir, current_dir = dirs
-    write(baseline_dir, "BENCH_a.json", {"sec": {"speedup": 1.0}})
+    write(current_dir, "BENCH_a.json", {"sec": {"speedup": 1.0}})
     exit_code = check_regressions.main(
-        [
-            "--baseline-dir",
-            str(baseline_dir),
-            "--current-dir",
-            str(current_dir),
-            "--only",
-            "BENCH_zzz.json",
-        ]
+        ["--baseline-dir", str(baseline_dir), "--current-dir", str(current_dir)]
     )
     assert exit_code == 2
+    assert "no baselines found" in capsys.readouterr().err
